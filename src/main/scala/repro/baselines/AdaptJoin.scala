@@ -1,6 +1,9 @@
 package repro.baselines
 
+import java.util.Locale
+
 import repro.core.{Measures, Tokenizer}
+import repro.join.LocalJoin
 
 /** Reimplementation of AdaptJoin [53] (Wang et al., SIGMOD 2012):
   * gram-based similarity join with the adaptive ℓ-prefix scheme.
@@ -18,10 +21,10 @@ object AdaptJoin {
 
   /** The baseline's similarity: gram Jaccard on the whole string. */
   def sim(s: String, t: String, q: Int = Measures.DefaultQ): Double =
-    Measures.jaccard(s.trim.toLowerCase, t.trim.toLowerCase, q)
+    Measures.jaccard(s.trim.toLowerCase(Locale.ROOT), t.trim.toLowerCase(Locale.ROOT), q)
 
   private def grams(s: String, q: Int): Vector[String] =
-    Tokenizer.qgramList(s.trim.toLowerCase, q)
+    Tokenizer.qgramList(s.trim.toLowerCase(Locale.ROOT), q)
 
   /** Global rarest-first gram order of a collection. */
   def gramOrder(strings: Iterable[String], q: Int): Map[String, Int] = {
@@ -47,15 +50,7 @@ object AdaptJoin {
       q: Int,
   ): Vector[(Int, Int)] = {
     val prefixes = strings.map(prefix(_, theta, ell, order, q))
-    val inv = scala.collection.mutable.HashMap[String, scala.collection.mutable.ArrayBuffer[Int]]()
-    for (i <- strings.indices; g <- prefixes(i))
-      inv.getOrElseUpdate(g, scala.collection.mutable.ArrayBuffer()) += i
-    val counts = scala.collection.mutable.HashMap[(Int, Int), Int]()
-    for ((_, ids) <- inv; a <- 0 until ids.length; b <- a + 1 until ids.length) {
-      val key = (ids(a), ids(b))
-      counts.update(key, counts.getOrElse(key, 0) + 1)
-    }
-    counts.iterator.collect { case (p, c) if c >= ell => p }.toVector.sorted
+    LocalJoin.filterStage(prefixes, prefixes, ell, selfJoin = true)._2
   }
 
   /** Choose the global ℓ minimising estimated cost on a sample. */

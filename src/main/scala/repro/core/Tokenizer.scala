@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.Locale
+
 /** Tokenisation and q-gram utilities (paper §2.1).
   *
   * Strings are tokenised on whitespace after lower-casing; q-grams are
@@ -9,9 +11,12 @@ package repro.core
   */
 object Tokenizer {
 
-  /** Lower-cased whitespace tokens of `s`, empty tokens dropped. */
+  /** Whitespace tokens of `s` lower-cased in `Locale.ROOT` (so results do
+    * not depend on the JVM's locale), empty tokens dropped; none for null.
+    */
   def tokens(s: String): Vector[String] =
-    s.trim.toLowerCase.split("\\s+").iterator.filter(_.nonEmpty).toVector
+    if (s == null) Vector.empty
+    else s.trim.toLowerCase(Locale.ROOT).split("\\s+").iterator.filter(_.nonEmpty).toVector
 
   /** Canonical text of a token span (single space join). */
   def text(toks: Seq[String]): String = toks.mkString(" ")

@@ -60,8 +60,11 @@ object LocalJoin {
     }
 
   /** Filtering stage only (Lines 1-8 of Algorithm 6): returns
-    * (T_τ processed pairs, candidate pair list). Used by both the full
-    * join and the τ estimator.
+    * (T_τ processed pairs, candidate pairs sharing ≥ τ keys, sorted).
+    * Used by the full join, the τ estimator and the baselines. Each
+    * string of `sigS` probes int posting lists of `sigT` with a dense
+    * counter reset after the probe (DESIGN.md §4). A self-join (the same
+    * collection twice) counts only partners after the probe, so i < j.
     */
   def filterStage(
       sigS: IndexedSeq[Set[String]],
@@ -69,53 +72,59 @@ object LocalJoin {
       tau: Int,
       selfJoin: Boolean,
   ): (Long, Vector[(Int, Int)]) = {
-    val invS = invert(sigS)
-    val invT = if (selfJoin) invS else invert(sigT)
-    var processed = 0L
-    val counts = new scala.collection.mutable.LongMap[Int](1 << 16)
-    for ((key, ls) <- invS; lt <- invT.get(key)) {
-      if (selfJoin) {
-        processed += ls.length.toLong * (ls.length - 1) / 2
-        var i = 0
-        while (i < ls.length) {
-          val hi = ls(i).toLong << 32
-          var j = i + 1
-          while (j < ls.length) {
-            val code = hi | lt(j).toLong
-            counts(code) = counts.getOrElse(code, 0) + 1
-            j += 1
-          }
-          i += 1
-        }
-      } else {
-        processed += ls.length.toLong * lt.length
-        var i = 0
-        while (i < ls.length) {
-          val hi = ls(i).toLong << 32
-          var j = 0
-          while (j < lt.length) {
-            val code = hi | lt(j).toLong
-            counts(code) = counts.getOrElse(code, 0) + 1
-            j += 1
-          }
-          i += 1
-        }
-      }
-    }
-    val cands = counts.iterator.collect {
-      case (code, c) if c >= tau => ((code >> 32).toInt, code.toInt)
-    }.toVector.sorted
-    (processed, cands)
-  }
+    val keyIds = scala.collection.mutable.HashMap.empty[String, Int]
+    def intern(sigs: IndexedSeq[Set[String]]): Array[Array[Int]] =
+      sigs.iterator.map(_.iterator.map(key => keyIds.getOrElseUpdate(key, keyIds.size)).toArray).toArray
+    val keysT = intern(sigT)
+    val keysS = if (selfJoin) keysT else intern(sigS)
+    val lists = postings(keysT, keyIds.size)
+    val processed =
+      if (selfJoin) lists.iterator.map(l => l.length.toLong * (l.length - 1) / 2).sum
+      else keysS.iterator.flatMap(_.iterator).map(lists(_).length.toLong).sum
 
-  private def invert(sigs: IndexedSeq[Set[String]]): Map[String, Vector[Int]] = {
-    val m = scala.collection.mutable.HashMap[String, scala.collection.mutable.ArrayBuffer[Int]]()
+    val count = new Array[Int](keysT.length)
+    val touched = new Array[Int](keysT.length)
+    val cands = Vector.newBuilder[(Int, Int)]
     var i = 0
-    while (i < sigs.length) {
-      for (key <- sigs(i)) m.getOrElseUpdate(key, scala.collection.mutable.ArrayBuffer()) += i
+    while (i < keysS.length) {
+      val keys = keysS(i)
+      var nTouched = 0
+      var k = 0
+      while (k < keys.length) {
+        val l = lists(keys(k))
+        var p = if (selfJoin) java.util.Arrays.binarySearch(l, i) + 1 else 0
+        while (p < l.length) {
+          val j = l(p)
+          if (count(j) == 0) { touched(nTouched) = j; nTouched += 1 }
+          count(j) += 1
+          p += 1
+        }
+        k += 1
+      }
+      var nCands = 0
+      var m = 0
+      while (m < nTouched) {
+        val j = touched(m)
+        if (count(j) >= tau) { touched(nCands) = j; nCands += 1 }
+        count(j) = 0
+        m += 1
+      }
+      java.util.Arrays.sort(touched, 0, nCands)
+      m = 0
+      while (m < nCands) { cands += ((i, touched(m))); m += 1 }
       i += 1
     }
-    m.view.mapValues(_.toVector).toMap
+    (processed, cands.result())
+  }
+
+  /** Posting list of every key id: the ids of the strings holding it, ascending. */
+  private def postings(keys: Array[Array[Int]], nKeys: Int): Array[Array[Int]] = {
+    val len = new Array[Int](nKeys)
+    for (ks <- keys; k <- ks) len(k) += 1
+    val lists = len.map(new Array[Int](_))
+    java.util.Arrays.fill(len, 0)
+    for (i <- keys.indices; k <- keys(i)) { lists(k)(len(k)) = i; len(k) += 1 }
+    lists
   }
 
   /** Full filter-and-verification join. For a self-join pass the same

@@ -19,6 +19,19 @@ class TokenizerSpec extends AnyFunSuite with PropHelpers {
     assert(Tokenizer.tokens("   ") == Vector.empty)
   }
 
+  test("tokens of null is empty") {
+    assert(Tokenizer.tokens(null) == Vector.empty)
+  }
+
+  test("lower-casing does not depend on the default locale") {
+    val saved = java.util.Locale.getDefault
+    java.util.Locale.setDefault(java.util.Locale.forLanguageTag("tr-TR"))
+    try {
+      assert(Tokenizer.tokens("TITLE") == Vector("title"))
+      assert(repro.baselines.AdaptJoin.sim("TITLE", "title") == 1.0)
+    } finally java.util.Locale.setDefault(saved)
+  }
+
   test("tokens handles tabs and newlines") {
     assert(Tokenizer.tokens("a\tb\nc") == Vector("a", "b", "c"))
   }

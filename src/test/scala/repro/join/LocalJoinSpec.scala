@@ -102,6 +102,15 @@ class LocalJoinSpec extends AnyFunSuite {
     assert(res.isEmpty && st.processedPairs == 0)
   }
 
+  test("empty and null strings join without error and pair with nothing") {
+    val strings = ds.strings.take(30) ++ Vector("", null) ++ ds.strings.slice(30, 60)
+    for (algo <- SigAlgo.all) {
+      val cfg = LocalJoin.Config(0.75, 2, algo)
+      val (res, _) = LocalJoin.join(k, strings, strings, cfg, selfJoin = true)
+      assert(res.forall(r => r._1 != 30 && r._1 != 31 && r._2 != 30 && r._2 != 31), s"$algo")
+    }
+  }
+
   test("identical duplicate strings always join at any θ") {
     val strings = Vector("latte cake espresso", "latte cake espresso", "unrelated tokens here")
     for (algo <- SigAlgo.all; theta <- Seq(0.8, 1.0)) {
