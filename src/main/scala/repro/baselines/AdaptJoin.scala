@@ -2,7 +2,7 @@ package repro.baselines
 
 import java.util.Locale
 
-import repro.core.{Measures, Tokenizer}
+import repro.core.{Measures, Tokenizer, Usim}
 import repro.join.LocalJoin
 
 /** Reimplementation of AdaptJoin [53] (Wang et al., SIGMOD 2012):
@@ -81,7 +81,7 @@ object AdaptJoin {
     val ell = chooseEll(strings, theta, order, q)
     candidates(strings, theta, ell, order, q).flatMap { case (i, j) =>
       val x = sim(strings(i), strings(j), q)
-      if (x >= theta - 1e-12) Some((i, j, x)) else None
+      if (x >= theta - Usim.AcceptSlack) Some((i, j, x)) else None
     }
   }
 }

@@ -38,7 +38,7 @@ object KJoin {
     val sigs = strings.map(signature(k, _, theta))
     LocalJoin.filterStage(sigs, sigs, 1, selfJoin = true)._2.flatMap { case (i, j) =>
       val x = sim(k, strings(i), strings(j))
-      if (x >= theta - 1e-12) Some((i, j, x)) else None
+      if (x >= theta - Usim.AcceptSlack) Some((i, j, x)) else None
     }
   }
 }

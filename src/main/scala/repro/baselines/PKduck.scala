@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Knowledge, Tokenizer}
+import repro.core.{Knowledge, Tokenizer, Usim}
 import repro.join.LocalJoin
 
 /** Reimplementation of PKduck [50] (Tao et al., PVLDB 2017):
@@ -75,7 +75,7 @@ object PKduck {
     val sigs = strings.map(signature(k, _))
     LocalJoin.filterStage(sigs, sigs, 1, selfJoin = true)._2.flatMap { case (i, j) =>
       val x = sim(k, strings(i), strings(j))
-      if (x >= theta - 1e-12) Some((i, j, x)) else None
+      if (x >= theta - Usim.AcceptSlack) Some((i, j, x)) else None
     }
   }
 }

@@ -8,6 +8,13 @@ object Usim {
   /** Default t parameter of Algorithm 1 (improvement floor 1/t). */
   val DefaultT = 20
 
+  /** Acceptance slack of every join's verification: a pair is a result
+    * iff its similarity ≥ θ − AcceptSlack, so that a similarity equal to
+    * θ in exact arithmetic but a rounding error below it in doubles is
+    * kept. Shared by the local and Spark joins and the baselines.
+    */
+  val AcceptSlack = 1e-12
+
   /** Vertex-count cap for the exact algorithm — beyond this the
     * branch-and-bound may blow up, mirroring the paper's restriction of
     * the exact algorithm to small pairs (§5.2).

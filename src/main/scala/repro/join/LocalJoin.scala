@@ -150,7 +150,7 @@ object LocalJoin {
     val t2 = System.nanoTime()
     val out = cands.flatMap { case (si, ti) =>
       val sim = Usim.approx(k, left(si), right(ti), cfg.measures, cfg.q, cfg.tParam)
-      if (sim >= cfg.theta - 1e-12) Some((si, ti, sim)) else None
+      if (sim >= cfg.theta - Usim.AcceptSlack) Some((si, ti, sim)) else None
     }
     val t3 = System.nanoTime()
     val avgSig = if (left.isEmpty) 0.0
@@ -176,7 +176,7 @@ object LocalJoin {
       val sim =
         if (useExact) Usim.exact(k, left(i), right(j), cfg.measures, cfg.q)
         else Usim.approx(k, left(i), right(j), cfg.measures, cfg.q, cfg.tParam)
-      if (sim >= cfg.theta - 1e-12) out += ((i, j, sim))
+      if (sim >= cfg.theta - Usim.AcceptSlack) out += ((i, j, sim))
     }
     out.result()
   }

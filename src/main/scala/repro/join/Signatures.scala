@@ -37,6 +37,43 @@ final class SignatureContext(
   /** m = GetMinPartitionSize(S). */
   val m: Int = MinPartition.size(k, segments, tokens.length)
 
+  // -------------------------------------------------------------- groups
+
+  /** Pebble groups B_{P,f}, one `Int` id per (segment P, measure f) in
+    * order of first appearance in B: `groupOf(i−1)` is the group of
+    * pebble i, `slot(i−1)` its index among the group's pebbles (kept in
+    * ascending position order), `groupW(g)` their weights,
+    * `groupSeg(g)` the group's segment and `segGroups(P)` its groups.
+    */
+  private val groupOf = new Array[Int](n)
+  private val slot = new Array[Int](n)
+  private val (groupW, groupSeg, segGroups): (Array[Array[Double]], Array[Int], Array[Array[Int]]) = {
+    val segIds = Array.fill(segments.length)(List.empty[Int])
+    val measureOf = scala.collection.mutable.ArrayBuffer.empty[Char]
+    val segOf = scala.collection.mutable.ArrayBuffer.empty[Int]
+    val size = scala.collection.mutable.ArrayBuffer.empty[Int]
+    var i = 0
+    while (i < n) {
+      val p = pebbles(i)
+      val g = segIds(p.segIdx).find(measureOf(_) == p.measure).getOrElse {
+        val id = measureOf.length
+        measureOf += p.measure; segOf += p.segIdx; size += 0
+        segIds(p.segIdx) = id :: segIds(p.segIdx)
+        id
+      }
+      groupOf(i) = g
+      slot(i) = size(g)
+      size(g) += 1
+      i += 1
+    }
+    val w = size.iterator.map(new Array[Double](_)).toArray
+    i = 0
+    while (i < n) { w(groupOf(i))(slot(i)) = pebbles(i).weight; i += 1 }
+    (w, segOf.toArray, segIds.map(_.reverse.toArray))
+  }
+
+  private val maxGroupSize: Int = groupW.iterator.map(_.length).maxOption.getOrElse(0)
+
   // ------------------------------------------------------------------ AS
 
   /** asArr(i) = AS(i, S) = Σ_P max_f W(B_{P,f}[i, n]), 1-based; index
@@ -44,17 +81,16 @@ final class SignatureContext(
     */
   private val asArr: Array[Double] = {
     val arr = new Array[Double](n + 2)
-    val groupSum = scala.collection.mutable.HashMap[(Int, Char), Double]()
-    val segMax = scala.collection.mutable.HashMap[Int, Double]()
+    val groupSum = new Array[Double](groupW.length)
+    val segMax = new Array[Double](segments.length)
     var acc = 0.0
     var i = n
     while (i >= 1) {
-      val p = pebbles(i - 1)
-      val g = (p.segIdx, p.measure)
-      val s = groupSum.getOrElse(g, 0.0) + p.weight
+      val g = groupOf(i - 1)
+      val s = groupSum(g) + pebbles(i - 1).weight
       groupSum(g) = s
-      val prevMax = segMax.getOrElse(p.segIdx, 0.0)
-      if (s > prevMax) { acc += s - prevMax; segMax(p.segIdx) = s }
+      val seg = groupSeg(g)
+      if (s > segMax(seg)) { acc += s - segMax(seg); segMax(seg) = s }
       arr(i) = acc
       i -= 1
     }
@@ -64,47 +100,12 @@ final class SignatureContext(
   /** AS(i, S) for i ∈ [1, n+1]. */
   def as(i: Int): Double = asArr(i)
 
-  // ----------------------------------------------- per-group DP helpers
-
-  /** positions (1-based, ascending) and weights per (segment, measure). */
-  private val groups: Map[(Int, Char), (Array[Int], Array[Double])] =
-    pebbles.zipWithIndex
-      .groupBy { case (p, _) => (p.segIdx, p.measure) }
-      .view
-      .mapValues { xs =>
-        (xs.map(_._2 + 1).toArray, xs.map(_._1.weight).toArray)
-      }
-      .toMap
-
-  private val measuresOfSeg: Map[Int, Seq[Char]] =
-    groups.keys.toSeq.groupBy(_._1).view.mapValues(_.map(_._2)).toMap
-
-  /** W(B_{P,f}[i, n]): group weight mass at positions ≥ i. */
-  private def groupSuffix(g: (Int, Char), i: Int): Double = {
-    val (pos, w) = groups(g)
-    var s = 0.0
-    var idx = pos.length - 1
-    while (idx >= 0 && pos(idx) >= i) { s += w(idx); idx -= 1 }
-    s
-  }
-
-  /** TW_c(B_{P,f}[1, i−1]): top-c weights of the group before position i. */
-  private def groupPrefixTop(g: (Int, Char), i: Int, c: Int): Double = {
-    if (c <= 0) return 0.0
-    val (pos, w) = groups(g)
-    val inPrefix = (0 until pos.length).iterator.takeWhile(pos(_) < i).map(w).toArray
-    java.util.Arrays.sort(inPrefix)
-    var s = 0.0
-    var idx = inPrefix.length - 1
-    val stop = math.max(0, inPrefix.length - c)
-    while (idx >= stop) { s += inPrefix(idx); idx -= 1 }
-    s
-  }
-
   // ----------------------------------------------------------- Algorithm 2
 
   /** Float slack: 7×(1/7) < 1.0 in doubles must still count as reaching
-    * the bound, else θ=1 signatures collapse to empty (unsound).
+    * the bound, else θ=1 signatures collapse to empty (unsound). Kept
+    * apart from `Usim.AcceptSlack`: it sets signature lengths, so its
+    * value changes signatures, not which verified pairs are accepted.
     */
   private val Eps = 1e-9
 
@@ -148,65 +149,106 @@ final class SignatureContext(
   /** AU-Filter DP: largest i whose DP bound W_i[t, τ−1] certifies
     * AS(i) + W_i[t, τ−1] ≥ mθ; early-terminates on any reaching cell
     * (W_i is monotone in both coordinates).
+    *
+    * Incremental over i (DESIGN.md §4): going from i+1 to i moves only
+    * pebble i from the prefix B[1, i−1] into the suffix B[i, n], so only
+    * its group's row R(g, ·) = W(B_g[i, n]) + TW_·(B_g[1, i−1]) and its
+    * segment's row V_i[P, ·] (Eqs 13–14) change; the max-plus DP over
+    * segments (Eq 12) is then rerun on preallocated rows.
     */
   def auDp(theta: Double, tau: Int): Int = {
     require(tau >= 1, s"tau must be >= 1, got $tau")
     if (tau == 1) return uFilter(theta)
     val bound = m * theta - Eps
+    val t = segments.length
+    val suffix = new Array[Double](groupW.length) // W(B_g[i, n])
+    val r = new Array[Double](groupW.length * tau) // R(g, c) at g·τ + c
+    val v = new Array[Double](t * tau) // V_i[P, c] at P·τ + c
+    val sorted = new Array[Double](maxGroupSize)
+    val prev = new Array[Double](tau) // d ∈ [0, τ−1]
+    val cur = new Array[Double](tau)
+
+    /** R(g, ·) with the group's first `k` pebbles in the prefix; the
+      * top-c weights are summed largest first.
+      */
+    def setR(g: Int, k: Int): Unit = {
+      System.arraycopy(groupW(g), 0, sorted, 0, k)
+      java.util.Arrays.sort(sorted, 0, k)
+      var top = 0.0
+      r(g * tau) = suffix(g) + top
+      var c = 1
+      while (c < tau) {
+        if (c <= k) top += sorted(k - c)
+        r(g * tau + c) = suffix(g) + top
+        c += 1
+      }
+    }
+
+    /** V_i[P, c] = R(P, i, c) − R(P, i, 0), R(P, i, c) = max_f R(g_f, c). */
+    def setV(seg: Int): Unit = {
+      val gs = segGroups(seg)
+      val base = seg * tau
+      var c = 0
+      while (c < tau) {
+        var best = 0.0
+        var j = 0
+        while (j < gs.length) {
+          val x = r(gs(j) * tau + c)
+          if (x > best) best = x
+          j += 1
+        }
+        v(base + c) = best
+        c += 1
+      }
+      val r0 = v(base)
+      c = 0
+      while (c < tau) { v(base + c) -= r0; c += 1 }
+    }
+
+    /** W_i[p, d] = max_c W_i[p−1, d−c] + V_i[p, c], Eq (12); true iff
+      * some cell reaches the bound (Lines 13–14).
+      */
+    def reaches(as: Double): Boolean = {
+      java.util.Arrays.fill(prev, 0.0)
+      var p = 0
+      while (p < t) {
+        val base = p * tau
+        cur(0) = 0.0
+        var d = 1
+        while (d < tau) {
+          var best = 0.0
+          var c = 0
+          while (c <= d) {
+            val x = prev(d - c) + v(base + c)
+            if (x > best) best = x
+            c += 1
+          }
+          cur(d) = best
+          if (as + best >= bound) return true
+          d += 1
+        }
+        System.arraycopy(cur, 0, prev, 0, tau)
+        p += 1
+      }
+      false
+    }
+
+    // i = n + 1: every pebble is in the prefix
+    var g = 0
+    while (g < groupW.length) { setR(g, groupW(g).length); g += 1 }
+    var seg = 0
+    while (seg < t) { setV(seg); seg += 1 }
     var i = n
     while (i >= 1) {
       if (asArr(i) >= bound) return i // d = 0 cell already suffices
-      if (dpReaches(i, tau, bound)) return i
+      g = groupOf(i - 1)
+      suffix(g) += groupW(g)(slot(i - 1))
+      setR(g, slot(i - 1))
+      setV(groupSeg(g))
+      if (reaches(asArr(i))) return i
       i -= 1
     }
     0
-  }
-
-  /** Populates W_i/V_i per Eqs (12-14); true iff some cell reaches. */
-  private def dpReaches(i: Int, tau: Int, bound: Double): Boolean = {
-    val t = segments.length
-    val cols = tau // d, c ∈ [0, τ−1]
-    val prev = new Array[Double](cols)
-    val cur = new Array[Double](cols)
-    val v = new Array[Double](cols)
-    var p = 1
-    while (p <= t) {
-      val segId = p - 1
-      // V_i[p, c] = R(P,i,c) − R(P,i,0), Eq (13–14)
-      val ms = measuresOfSeg.getOrElse(segId, Nil)
-      var c = 0
-      while (c < cols) {
-        var r = 0.0
-        for (f <- ms) {
-          val g = (segId, f)
-          val x = groupSuffix(g, i) + groupPrefixTop(g, i, c)
-          if (x > r) r = x
-        }
-        v(c) = r
-        c += 1
-      }
-      val r0 = v(0)
-      c = 0
-      while (c < cols) { v(c) -= r0; c += 1 }
-      // W_i[p, d] = max_c W_i[p−1, d−c] + V_i[p, c], Eq (12)
-      cur(0) = 0.0
-      var d = 1
-      while (d < cols) {
-        var best = 0.0
-        c = 0
-        while (c <= d) {
-          val x = prev(d - c) + v(c)
-          if (x > best) best = x
-          c += 1
-        }
-        cur(d) = best
-        if (asArr(i) + best >= bound) return true // Lines 13-14
-        d += 1
-      }
-      System.arraycopy(cur, 0, prev, 0, cols)
-      p += 1
-    }
-    false
   }
 
   // ------------------------------------------------------------ signature
@@ -215,22 +257,16 @@ final class SignatureContext(
   def signature(len: Int): Set[String] =
     pebbles.iterator.take(len).map(_.key).toSet
 
-  /** Select the signature with the given algorithm. */
-  def select(algo: SigAlgo, theta: Double, tau: Int): Set[String] = {
-    val len = algo match {
-      case SigAlgo.UFilter     => uFilter(theta)
-      case SigAlgo.AUHeuristic => auHeuristic(theta, tau)
-      case SigAlgo.AUDp        => auDp(theta, tau)
-    }
-    signature(len)
-  }
-
-  /** Signature prefix length for stats (Figure 5-style reporting). */
+  /** Signature prefix length chosen by the given algorithm. */
   def selectLen(algo: SigAlgo, theta: Double, tau: Int): Int = algo match {
     case SigAlgo.UFilter     => uFilter(theta)
     case SigAlgo.AUHeuristic => auHeuristic(theta, tau)
     case SigAlgo.AUDp        => auDp(theta, tau)
   }
+
+  /** Select the signature with the given algorithm. */
+  def select(algo: SigAlgo, theta: Double, tau: Int): Set[String] =
+    signature(selectLen(algo, theta, tau))
 }
 
 object SignatureContext {

@@ -122,7 +122,7 @@ object SparkJoin {
       .join(left.select(col("id").as("sid"), col("str").as("s_str")), "sid")
       .join(right.select(col("id").as("tid"), col("str").as("t_str")), "tid")
       .withColumn("sim", usimUdf(col("s_str"), col("t_str")))
-      .where(col("sim") >= cfg.theta - 1e-12)
+      .where(col("sim") >= cfg.theta - Usim.AcceptSlack)
       .select("sid", "tid", "sim")
   }
 }

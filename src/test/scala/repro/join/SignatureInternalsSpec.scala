@@ -26,12 +26,45 @@ class SignatureInternalsSpec extends AnyFunSuite with PropHelpers {
     perSeg.values.sum
   }
 
-  private def randomCtx(seed: Long): SignatureContext = {
+  /** Algorithm 5 straight from Eqs (12–14): at every i, V_i[P, c] is
+    * recomputed per segment from `pebbles` and the whole W_i table is
+    * filled with no early exit. The length is the largest i with
+    * AS(i) ≥ mθ or AS(i) + W_i[t, τ−1] ≥ mθ (0 if none).
+    */
+  private def naiveAuDp(ctx: SignatureContext, theta: Double, tau: Int): Int = {
+    val bound = ctx.m * theta - 1e-9
+    val positioned = ctx.pebbles.zipWithIndex.map { case (p, idx) => (p, idx + 1) }
+    def reaches(i: Int): Boolean = {
+      val v = ctx.segments.indices.map { seg =>
+        val groups = positioned.filter(_._1.segIdx == seg).groupBy(_._1.measure).values
+        // R(P, i, c) = max_f W(B_{P,f}[i, n]) + TW_c(B_{P,f}[1, i−1])
+        def r(c: Int): Double = groups.map { g =>
+          g.collect { case (p, pos) if pos >= i => p.weight }.sum +
+            g.collect { case (p, pos) if pos < i => p.weight }.sorted.reverse.take(c).sum
+        }.maxOption.getOrElse(0.0)
+        (0 until tau).map(c => r(c) - r(0))
+      }
+      val w = v.foldLeft(IndexedSeq.fill(tau)(0.0)) { (prev, vp) =>
+        (0 until tau).map(d => (0 to d).map(c => prev(d - c) + vp(c)).max)
+      }
+      val as = naiveAs(ctx, i)
+      as >= bound || as + w(tau - 1) >= bound
+    }
+    (ctx.n to 1 by -1).find(reaches).getOrElse(0)
+  }
+
+  private def randomCtx(seed: Long, g: TextGen.GenContext = gctx): SignatureContext = {
     val rng = new scala.util.Random(seed)
     val cls = Seq("S", "J", "T", "JS", "TS", "TJ", "TJS")(rng.nextInt(7))
-    val (s, _, _) = TextGen.plantPair(gctx, cls, rng)
-    new SignatureContext(Tokenizer.tokens(s), gctx.knowledge, MeasureSet.TJS, 2, Map.empty)
+    val (s, _, _) = TextGen.plantPair(g, cls, rng)
+    new SignatureContext(Tokenizer.tokens(s), g.knowledge, MeasureSet.TJS, 2, Map.empty)
   }
+
+  private val dpThetas = Seq(0.5, 0.7, 0.85, 0.95, 1.0)
+
+  private def assertDpMatchesNaive(c: SignatureContext, clue: String): Unit =
+    for (theta <- dpThetas; tau <- 1 to 8)
+      assert(c.auDp(theta, tau) == naiveAuDp(c, theta, tau), s"$clue θ=$theta τ=$tau")
 
   test("property: AS(i) matches the naive Def-4 computation at every i") {
     check(Gen.choose(0L, 500L), n = 25) { seed =>
@@ -74,6 +107,29 @@ class SignatureInternalsSpec extends AnyFunSuite with PropHelpers {
       val c = randomCtx(seed)
       for (theta <- Seq(0.7, 0.9); tau <- Seq(2, 4))
         assert(c.auDp(theta, tau) <= c.auHeuristic(theta, tau))
+    }
+  }
+
+  test("property: AU-DP equals the naive Eqs (12-14) DP on MED-lite and WIKI-lite") {
+    val wctx = TextGen.context(TextGen.WikiLite)
+    for ((name, g) <- Seq("MED" -> gctx, "WIKI" -> wctx))
+      check(Gen.choose(0L, 5000L), n = 40) { seed =>
+        assertDpMatchesNaive(randomCtx(seed, g), s"$name seed $seed")
+      }
+  }
+
+  test("AU-DP equals the naive DP on the empty string, one token and a pebble-less segment") {
+    val k = Knowledge.figure1
+    def ctx(s: String, m: MeasureSet) = new SignatureContext(Tokenizer.tokens(s), k, m, 2, Map.empty)
+    val empty = ctx("", MeasureSet.TJS)
+    assert(empty.n == 0 && empty.auDp(0.85, 4) == 0)
+    assertDpMatchesNaive(empty, "empty")
+    assertDpMatchesNaive(ctx("espresso", MeasureSet.TJS), "one token")
+    for ((s, m) <- Seq("latte zzqx espresso" -> MeasureSet.T, "coffee shop zzqx cake" -> MeasureSet.S)) {
+      val c = ctx(s, m)
+      assert(c.segments.indices.exists(seg => !c.pebbles.exists(_.segIdx == seg)), s)
+      assert(c.n > 0, s)
+      assertDpMatchesNaive(c, s)
     }
   }
 

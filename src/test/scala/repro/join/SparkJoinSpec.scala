@@ -108,6 +108,18 @@ class SparkJoinSpec extends SparkSpec {
       precomputedOrder = Some(Map.empty)).count() == 0)
   }
 
+  test("Spark self-join over null and empty strings equals local and pairs neither") {
+    val strings = ds.strings.take(60) ++ Seq(null, "")
+    val cfg = LocalJoin.Config(0.75, 2, SigAlgo.AUDp)
+    val got = collectPairs(SparkJoin.join(spark, toDF(strings), toDF(strings), k, cfg,
+      selfJoin = true))
+    val want = LocalJoin.join(k, strings, strings, cfg, selfJoin = true)._1
+      .map(r => (r._1, r._2)).toSet
+    assert(got == want)
+    assert(want.nonEmpty)
+    assert(!got.exists { case (i, j) => Set(i, j).exists(_ >= 60) })
+  }
+
   test("signature UDF output matches local signatures") {
     val cfg = LocalJoin.Config(0.8, 3, SigAlgo.AUDp)
     val strings = ds.strings.take(30)
