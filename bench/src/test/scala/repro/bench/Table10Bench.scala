@@ -5,6 +5,7 @@ import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.TextGen
 import repro.exp._
+import repro.jobs.JobUtil
 
 /** Table 10 + Figure 7: Spark join time broken into suggestion /
   * filtering / verification across dataset sizes, plus the three
@@ -12,18 +13,11 @@ import repro.exp._
   */
 class Table10Bench extends AnyFunSuite with BeforeAndAfterAll {
 
-  lazy val spark: SparkSession = SparkSession.builder
-    .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-    .appName("table10-bench")
-    .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-    .config("spark.sql.autoBroadcastJoinThreshold", -1)
-    .config("spark.ui.enabled", false)
-    .getOrCreate()
+  lazy val spark: SparkSession = JobUtil.session("table10-bench")
 
   override def afterAll(): Unit = { spark.stop(); super.afterAll() }
 
   test("Table 10: suggestion/filtering/verification vs dataset size (Spark)") {
-    spark.sparkContext.setLogLevel("WARN")
     ScalabilityExp.run(spark, TextGen.MedLite, Seq(300), theta = 0.9) // JIT/Spark warmup
     val sizes = Seq(1000, 2000, 3000)
     val rows = ScalabilityExp.run(spark, TextGen.MedLite, sizes, theta = 0.9) ++

@@ -9,6 +9,12 @@ import repro.exp._
   * where noted. Output goes to stdout in the paper's table layout.
   */
 object JobUtil {
+
+  /** The one SparkSession builder of the jobs, the tests and the bench
+    * suites: master and shuffle partitions from SPARK_MASTER and
+    * SPARK_SHUFFLE_PARTITIONS, broadcast joins off (so joins take the
+    * shuffle path), no UI, WARN logging.
+    */
   def session(name: String): SparkSession = {
     val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))

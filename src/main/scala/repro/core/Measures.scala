@@ -9,14 +9,24 @@ object Measures {
   val DefaultQ = 2
 
   /** Gram-based Jaccard coefficient (Eq 1) on the texts of two spans. */
-  def jaccard(a: String, b: String, q: Int = DefaultQ): Double = {
-    val ga = Tokenizer.qgrams(a, q)
-    val gb = Tokenizer.qgrams(b, q)
-    if (ga.isEmpty && gb.isEmpty) 0.0
-    else {
-      val inter = ga.count(gb.contains)
-      inter.toDouble / (ga.size + gb.size - inter)
+  def jaccard(a: String, b: String, q: Int = DefaultQ): Double =
+    jaccard(Tokenizer.gramArray(a, q), Tokenizer.gramArray(b, q))
+
+  /** Jaccard of two sorted distinct gram arrays by one merge: |a ∩ b| /
+    * |a ∪ b|, and 0 when either is empty or nothing is shared. The one
+    * Jaccard kernel of verification and of AdaptJoin.
+    */
+  def jaccard(a: Array[String], b: Array[String]): Double = {
+    var i = 0
+    var j = 0
+    var inter = 0
+    while (i < a.length && j < b.length) {
+      val c = a(i).compareTo(b(j))
+      if (c == 0) { inter += 1; i += 1; j += 1 }
+      else if (c < 0) i += 1
+      else j += 1
     }
+    if (inter == 0) 0.0 else inter.toDouble / (a.length + b.length - inter)
   }
 
   /** Synonym similarity (Eq 2): C(R) if a rule maps one span to the
@@ -56,6 +66,30 @@ object Measures {
     if (measures.j) best = math.max(best, jaccard(Tokenizer.text(a), Tokenizer.text(b), q))
     if (measures.s) best = math.max(best, synonym(k, a, b))
     if (measures.t) best = math.max(best, taxonomy(k, a, b))
+    best
+  }
+
+  /** msim (Eq 4) of segment `si` of `s` and segment `ti` of `t`, from
+    * what preparation looked up: the gram merge, a rule whose lhs is one
+    * segment and whose rhs is the other (either direction, closest wins),
+    * and `Taxonomy.sim` on the node ids. Equals [[msim]] on the segments'
+    * tokens.
+    */
+  def msim(k: Knowledge, s: Prepared, si: Int, t: Prepared, ti: Int, measures: MeasureSet): Double = {
+    var best = 0.0
+    if (measures.j) best = jaccard(s.grams(si), t.grams(ti))
+    if (measures.s)
+      best = math.max(best,
+        math.max(closeness(k, s.lhsRules(si), t.rhsRules(ti)), closeness(k, t.lhsRules(ti), s.rhsRules(si))))
+    if (measures.t && s.node(si) >= 0 && t.node(ti) >= 0)
+      best = math.max(best, k.taxonomy.sim(s.node(si), t.node(ti)))
+    best
+  }
+
+  /** The largest C(R) over rules in both `lhsOf` and `rhsOf`, else 0. */
+  private def closeness(k: Knowledge, lhsOf: Array[Int], rhsOf: Array[Int]): Double = {
+    var best = 0.0
+    for (rid <- lhsOf if rhsOf.contains(rid)) best = math.max(best, k.rule(rid).c)
     best
   }
 }

@@ -29,6 +29,9 @@ object Tokenizer {
     else s.sliding(q).toSet
   }
 
+  /** G(s, q) as a sorted array — the operand of [[Measures.jaccard]]'s merge. */
+  def gramArray(s: String, q: Int): Array[String] = qgrams(s, q).toArray.sorted
+
   /** q-grams as an ordered list (first occurrence order, distinct). */
   def qgramList(s: String, q: Int): Vector[String] = {
     if (s.isEmpty) Vector.empty

@@ -28,7 +28,7 @@ object Usim {
       measures: MeasureSet = MeasureSet.TJS,
       q: Int = Measures.DefaultQ,
   ): UsimGraph =
-    UsimGraph.build(k, Tokenizer.tokens(s), Tokenizer.tokens(t), measures, q)
+    UsimGraph.build(k, Prepared(k, s, q), Prepared(k, t, q), measures)
 
   // ---------------------------------------------------------------- approx
 
@@ -84,13 +84,7 @@ object Usim {
     var mS = 0L
     var mT = 0L
     for (i <- a) { sumW += g.weights(i); mS |= g.maskS(i); mT |= g.maskT(i) }
-    def simOf(w: Double, cnt: Int, ms: Long, mt: Long): Double = {
-      val den = cnt + math.max(
-        g.sLen - java.lang.Long.bitCount(ms),
-        g.tLen - java.lang.Long.bitCount(mt))
-      if (den == 0) 0.0 else w / den
-    }
-    var cur = simOf(sumW, a.size, mS, mT)
+    var cur = g.simOf(sumW, a.size, mS, mT)
 
     val pairLimit = SquareImp.DefaultPairTalonLimit
     // per-candidate conflict aggregates against the current A
@@ -133,7 +127,7 @@ object Usim {
       v = 0
       while (v < n) {
         if (!a.contains(v)) {
-          val sim = simOf(sumW - confW(v) + g.weights(v), a.size - confCnt(v) + 1,
+          val sim = g.simOf(sumW - confW(v) + g.weights(v), a.size - confCnt(v) + 1,
             (mS ^ confMS(v)) | g.maskS(v), (mT ^ confMT(v)) | g.maskT(v))
           if (sim > bestSim) { bestSim = sim; bestAdd1 = v; bestAdd2 = -1 }
         }
@@ -164,7 +158,7 @@ object Usim {
                 val c = a.size - confCnt(v1) - confCnt(v2) + sharedC + 2
                 val ms = (mS ^ (confMS(v1) | confMS(v2))) | g.maskS(v1) | g.maskS(v2)
                 val mt = (mT ^ (confMT(v1) | confMT(v2))) | g.maskT(v1) | g.maskT(v2)
-                val sim = simOf(w, c, ms, mt)
+                val sim = g.simOf(w, c, ms, mt)
                 if (sim > bestSim) { bestSim = sim; bestAdd1 = v1; bestAdd2 = v2 }
               }
               v2 += 1
@@ -186,7 +180,7 @@ object Usim {
           a += add
           sumW += g.weights(add); mS |= g.maskS(add); mT |= g.maskT(add)
         }
-        cur = simOf(sumW, a.size, mS, mT)
+        cur = g.simOf(sumW, a.size, mS, mT)
         progress = true
       }
     }
@@ -202,7 +196,13 @@ object Usim {
       q: Int = Measures.DefaultQ,
       tParam: Int = DefaultT,
   ): Double =
-    approxOnGraph(graph(k, s, t, measures, q), tParam)._1
+    approx(k, Prepared(k, s, q), Prepared(k, t, q), measures, tParam)
+
+  /** Algorithm 1 on two prepared strings: what every join verifies a
+    * candidate pair with.
+    */
+  def approx(k: Knowledge, s: Prepared, t: Prepared, measures: MeasureSet, tParam: Int): Double =
+    approxOnGraph(UsimGraph.build(k, s, t, measures), tParam)._1
 
   // ---------------------------------------------------------------- exact
 
@@ -230,15 +230,8 @@ object Usim {
 
     var best = approxOnGraph(g)._1 // seed with the approximation (a valid solution)
 
-    def sim(sumW: Double, cnt: Int, mS: Long, mT: Long): Double = {
-      val den = cnt + math.max(
-        g.sLen - java.lang.Long.bitCount(mS),
-        g.tLen - java.lang.Long.bitCount(mT))
-      if (den == 0) 0.0 else sumW / den
-    }
-
     def dfs(idx: Int, mS: Long, mT: Long, cnt: Int, sumW: Double): Unit = {
-      val cur = sim(sumW, cnt, mS, mT)
+      val cur = g.simOf(sumW, cnt, mS, mT)
       if (cur > best) best = cur
       if (idx >= n) return
       if ((sumW + suffix(idx)) / minDen <= best) return // optimistic bound

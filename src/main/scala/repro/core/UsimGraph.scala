@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** The conflict graph of §2.3 for a string pair (S, T).
   *
   * Each vertex is a pair of well-defined segments (one span of S, one of
@@ -47,140 +45,68 @@ final class UsimGraph(
   def getSim(sel: Iterable[Int]): Double = {
     var w = 0.0; var ms = 0L; var mt = 0L; var n = 0
     for (i <- sel) { w += weights(i); ms |= maskS(i); mt |= maskT(i); n += 1 }
-    val den = n + math.max(sLen - java.lang.Long.bitCount(ms), tLen - java.lang.Long.bitCount(mt))
+    simOf(w, n, ms, mt)
+  }
+
+  /** GetSim's ratio for `cnt` independent vertices of total weight `w`
+    * covering `ms` and `mt`: w / (cnt + max(|S| − |ms|, |T| − |mt|)), 0
+    * when the denominator is 0. The one denominator of Algorithm 1 and of
+    * the exact search.
+    */
+  def simOf(w: Double, cnt: Int, ms: Long, mt: Long): Double = {
+    val den = cnt + math.max(sLen - java.lang.Long.bitCount(ms), tLen - java.lang.Long.bitCount(mt))
     if (den == 0) 0.0 else w / den
   }
 }
 
 object UsimGraph {
 
-  private def mask(seg: Segment): Long = {
-    require(seg.end <= 64, s"strings longer than 64 tokens unsupported (${seg.end})")
-    ((1L << seg.length) - 1L) << seg.start
-  }
-
-  /** Graph construction of §2.3: enumerate candidate segment pairs per
-    * enabled measure, weight each by msim, merge duplicates by max.
-    */
+  /** Graph construction of §2.3 on two strings of tokens, each prepared first. */
   def build(
       k: Knowledge,
       sToks: Vector[String],
       tToks: Vector[String],
       measures: MeasureSet = MeasureSet.TJS,
       q: Int = Measures.DefaultQ,
-  ): UsimGraph = {
-    // J-only: no rule/taxonomy vertices can exist, so skip the knowledge
-    // scan and emit token-pair vertices directly (hot verification path).
-    if (!measures.s && !measures.t) return buildJaccardOnly(sToks, tToks, q)
-    val sSegs = Segments.wellDefined(k, sToks)
-    val tSegs = Segments.wellDefined(k, tToks)
-    val tBySpan: Map[Vector[String], Seq[Int]] =
-      tSegs.indices.groupBy(i => tSegs(i).tokens).view.mapValues(_.toSeq).toMap
+  ): UsimGraph = build(k, Prepared(k, sToks, q), Prepared(k, tToks, q), measures)
 
-    val cand = mutable.LinkedHashSet[(Int, Int)]()
-
-    // Gram sets per distinct token text, computed once (the hot path of
-    // pairwise verification — Jaccard over all single-token pairs).
-    val gramCache = mutable.HashMap[String, Set[String]]()
-    def grams(text: String): Set[String] =
-      gramCache.getOrElseUpdate(text, Tokenizer.qgrams(text, q))
-    def fastJaccard(a: String, b: String): Double = {
-      val ga = grams(a)
-      val gb = grams(b)
-      if (ga.isEmpty || gb.isEmpty) 0.0
-      else {
-        val (small, large) = if (ga.size <= gb.size) (ga, gb) else (gb, ga)
-        var inter = 0
-        val it = small.iterator
-        while (it.hasNext) if (large.contains(it.next())) inter += 1
-        if (inter == 0) 0.0 else inter.toDouble / (ga.size + gb.size - inter)
-      }
-    }
-
-    // (c) single-token pairs — gram Jaccard applies to any of them.
-    if (measures.j) {
-      val sSingles = sSegs.indices.filter(sSegs(_).length == 1)
-      val tSingles = tSegs.indices.filter(tSegs(_).length == 1)
-      for (si <- sSingles; ti <- tSingles) cand += ((si, ti))
-    }
-    // (a) synonym-rule pairs, either direction.
-    if (measures.s) {
-      for (si <- sSegs.indices; rid <- k.rulesTouching(sSegs(si).tokens)) {
-        val r = k.rule(rid)
-        val targets =
-          (if (r.lhs == sSegs(si).tokens) tBySpan.getOrElse(r.rhs, Nil) else Nil) ++
-            (if (r.rhs == sSegs(si).tokens) tBySpan.getOrElse(r.lhs, Nil) else Nil)
-        for (ti <- targets) cand += ((si, ti))
-      }
-    }
-    // (b) taxonomy-entity pairs.
-    if (measures.t) {
-      val sEnt = sSegs.indices.filter(i => k.taxonomy.byName.contains(sSegs(i).tokens))
-      val tEnt = tSegs.indices.filter(i => k.taxonomy.byName.contains(tSegs(i).tokens))
-      for (si <- sEnt; ti <- tEnt) cand += ((si, ti))
-    }
-
+  /** Graph construction of §2.3 from two prepared strings. Candidate
+    * segment pairs come in a fixed order — single × single tokens (J),
+    * then rule pairs (S: per segment of S, per rule in
+    * `Knowledge.rulesTouching` order, the segments of T equal to the
+    * rule's other side), then entity × entity (T) — and a pair listed
+    * twice keeps its first place. Each is weighed by msim over the
+    * enabled measures; those of weight 0 are dropped.
+    */
+  def build(k: Knowledge, s: Prepared, t: Prepared, measures: MeasureSet): UsimGraph = {
+    require(s.q == t.q, s"strings prepared with different q (${s.q}, ${t.q})")
+    val nT = t.segs.length
+    val seen = new Array[Boolean](s.segs.length * nT)
     val ws = Array.newBuilder[Double]
     val mS = Array.newBuilder[Long]
     val mT = Array.newBuilder[Long]
     val vs = Array.newBuilder[Segment]
     val vt = Array.newBuilder[Segment]
-    for ((si, ti) <- cand) {
-      // msim inline: Jaccard via the gram cache, synonym/taxonomy via the
-      // same lookups as Measures.msim.
-      var w = 0.0
-      if (measures.j) w = fastJaccard(sSegs(si).text, tSegs(ti).text)
-      if (measures.s) {
-        val x = Measures.synonym(k, sSegs(si).tokens, tSegs(ti).tokens)
-        if (x > w) w = x
-      }
-      if (measures.t) {
-        val x = Measures.taxonomy(k, sSegs(si).tokens, tSegs(ti).tokens)
-        if (x > w) w = x
-      }
-      if (w > 0.0) {
-        ws += w
-        mS += mask(sSegs(si))
-        mT += mask(tSegs(ti))
-        vs += sSegs(si)
-        vt += tSegs(ti)
-      }
-    }
-    new UsimGraph(sToks.length, tToks.length, ws.result(), mS.result(), mT.result(),
-      vs.result(), vt.result())
-  }
-
-  private def buildJaccardOnly(sToks: Vector[String], tToks: Vector[String], q: Int): UsimGraph = {
-    require(sToks.length <= 64 && tToks.length <= 64, "strings longer than 64 tokens unsupported")
-    val sGrams = sToks.map(Tokenizer.qgrams(_, q))
-    val tGrams = tToks.map(Tokenizer.qgrams(_, q))
-    val ws = Array.newBuilder[Double]
-    val mS = Array.newBuilder[Long]
-    val mT = Array.newBuilder[Long]
-    val vs = Array.newBuilder[Segment]
-    val vt = Array.newBuilder[Segment]
-    var i = 0
-    while (i < sToks.length) {
-      var j = 0
-      while (j < tToks.length) {
-        val ga = sGrams(i)
-        val gb = tGrams(j)
-        var inter = 0
-        val (small, large) = if (ga.size <= gb.size) (ga, gb) else (gb, ga)
-        val it = small.iterator
-        while (it.hasNext) if (large.contains(it.next())) inter += 1
-        if (inter > 0) {
-          ws += inter.toDouble / (ga.size + gb.size - inter)
-          mS += 1L << i
-          mT += 1L << j
-          vs += Segment(i, i + 1, Vector(sToks(i)))
-          vt += Segment(j, j + 1, Vector(tToks(j)))
+    def add(si: Int, ti: Int): Unit =
+      if (!seen(si * nT + ti)) {
+        seen(si * nT + ti) = true
+        val w = Measures.msim(k, s, si, t, ti, measures)
+        if (w > 0.0) {
+          ws += w
+          mS += s.masks(si)
+          mT += t.masks(ti)
+          vs += s.segs(si)
+          vt += t.segs(ti)
         }
-        j += 1
       }
-      i += 1
-    }
-    new UsimGraph(sToks.length, tToks.length, ws.result(), mS.result(), mT.result(),
-      vs.result(), vt.result())
+
+    if (measures.j) for (si <- s.singles; ti <- t.singles) add(si, ti)
+    if (measures.s)
+      for (si <- s.ruleSegs; rid <- (s.lhsRules(si) ++ s.rhsRules(si)).distinct) {
+        if (s.lhsRules(si).contains(rid)) for (ti <- t.ruleSegs if t.rhsRules(ti).contains(rid)) add(si, ti)
+        if (s.rhsRules(si).contains(rid)) for (ti <- t.ruleSegs if t.lhsRules(ti).contains(rid)) add(si, ti)
+      }
+    if (measures.t) for (si <- s.entities; ti <- t.entities) add(si, ti)
+    new UsimGraph(s.length, t.length, ws.result(), mS.result(), mT.result(), vs.result(), vt.result())
   }
 }

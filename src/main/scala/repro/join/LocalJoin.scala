@@ -129,7 +129,8 @@ object LocalJoin {
 
   /** Full filter-and-verification join. For a self-join pass the same
     * collection twice with `selfJoin = true` (pairs reported with
-    * sId < tId).
+    * sId < tId). Verification prepares each string on its first
+    * candidate pair ([[Prepared.lazily]]).
     */
   def join(
       k: Knowledge,
@@ -148,8 +149,10 @@ object LocalJoin {
     val t1 = System.nanoTime()
     val (processed, cands) = filterStage(sigS, sigT, cfg.tau, selfJoin)
     val t2 = System.nanoTime()
+    val prepS = Prepared.lazily(k, left, cfg.q)
+    val prepT = if (selfJoin) prepS else Prepared.lazily(k, right, cfg.q)
     val out = cands.flatMap { case (si, ti) =>
-      val sim = Usim.approx(k, left(si), right(ti), cfg.measures, cfg.q, cfg.tParam)
+      val sim = Usim.approx(k, prepS(si), prepT(ti), cfg.measures, cfg.tParam)
       if (sim >= cfg.theta - Usim.AcceptSlack) Some((si, ti, sim)) else None
     }
     val t3 = System.nanoTime()
@@ -172,10 +175,12 @@ object LocalJoin {
       useExact: Boolean = false,
   ): Vector[(Int, Int, Double)] = {
     val out = Vector.newBuilder[(Int, Int, Double)]
+    val prepS = Prepared.lazily(k, left, cfg.q)
+    val prepT = if (selfJoin) prepS else Prepared.lazily(k, right, cfg.q)
     for (i <- left.indices; j <- right.indices if !selfJoin || i < j) {
       val sim =
-        if (useExact) Usim.exact(k, left(i), right(j), cfg.measures, cfg.q)
-        else Usim.approx(k, left(i), right(j), cfg.measures, cfg.q, cfg.tParam)
+        if (useExact) Usim.exactOnGraph(UsimGraph.build(k, prepS(i), prepT(j), cfg.measures))
+        else Usim.approx(k, prepS(i), prepT(j), cfg.measures, cfg.tParam)
       if (sim >= cfg.theta - Usim.AcceptSlack) out += ((i, j, sim))
     }
     out.result()

@@ -4,10 +4,13 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core._
 
+import scala.collection.mutable
+
 /** Distributed unified set join (Algorithms 3/6 as a Spark dataflow).
   *
-  * Pebble-signature generation and USIM verification run as DataFrame
-  * UDFs over broadcast knowledge; candidate generation is a shuffle
+  * Pebble-signature generation runs as a DataFrame UDF and USIM
+  * verification as a `mapPartitions` over prepared strings, both over
+  * broadcast knowledge; candidate generation is a shuffle
   * join on exploded signature keys followed by a per-pair overlap
   * count (signature keys are distinct per string, so `count(*)` is the
   * distinct-pebble overlap the paper's Algorithm 6 counts).
@@ -105,7 +108,11 @@ object SparkJoin {
     verify(spark, cands, left, right, k, cfg)
   }
 
-  /** Verification stage: attach strings and keep pairs with USIM ≥ θ. */
+  /** Verification stage: attach strings and keep pairs with USIM ≥ θ.
+    * Each partition verifies its (`sid`, `tid`, `s_str`, `t_str`) rows
+    * in one pass, preparing a string on its first row and keeping it in
+    * one memo per side, since the two sides' ids overlap in an R–S join.
+    */
   def verify(
       spark: SparkSession,
       cands: DataFrame,
@@ -114,15 +121,23 @@ object SparkJoin {
       k: Knowledge,
       cfg: LocalJoin.Config,
   ): DataFrame = {
+    import spark.implicits._
     val bk = spark.sparkContext.broadcast(k)
-    val usimUdf = udf { (s: String, t: String) =>
-      Usim.approx(bk.value, s, t, cfg.measures, cfg.q, cfg.tParam)
-    }
     cands
       .join(left.select(col("id").as("sid"), col("str").as("s_str")), "sid")
       .join(right.select(col("id").as("tid"), col("str").as("t_str")), "tid")
-      .withColumn("sim", usimUdf(col("s_str"), col("t_str")))
-      .where(col("sim") >= cfg.theta - Usim.AcceptSlack)
-      .select("sid", "tid", "sim")
+      .select("sid", "tid", "s_str", "t_str")
+      .as[(Long, Long, String, String)]
+      .mapPartitions { rows =>
+        val k = bk.value
+        val prepS = mutable.HashMap.empty[Long, Prepared]
+        val prepT = mutable.HashMap.empty[Long, Prepared]
+        rows.flatMap { case (sid, tid, s, t) =>
+          val sim = Usim.approx(k, prepS.getOrElseUpdate(sid, Prepared(k, s, cfg.q)),
+            prepT.getOrElseUpdate(tid, Prepared(k, t, cfg.q)), cfg.measures, cfg.tParam)
+          if (sim >= cfg.theta - Usim.AcceptSlack) Iterator.single((sid, tid, sim)) else Iterator.empty
+        }
+      }
+      .toDF("sid", "tid", "sim")
   }
 }

@@ -33,6 +33,17 @@ class MeasuresSpec extends AnyFunSuite with PropHelpers {
     }
   }
 
+  test("property: the gram-array merge equals |G(a) ∩ G(b)| / |G(a) ∪ G(b)|") {
+    val str = Gen.choose(0, 8).flatMap(n => Gen.listOfN(n, Gen.oneOf('a', 'b', 'c', ' ')).map(_.mkString))
+    check2(Gen.zip(str, str), Gen.choose(1, 4), n = 500) { case ((a, b), q) =>
+      val ga = Tokenizer.qgrams(a, q)
+      val gb = Tokenizer.qgrams(b, q)
+      val inter = ga.intersect(gb).size
+      val want = if (inter == 0) 0.0 else inter.toDouble / ga.union(gb).size
+      assert(Measures.jaccard(a, b, q) == want, s"'$a' '$b' q=$q")
+    }
+  }
+
   // ---- Synonym (Eq 2)
 
   test("Example 2(ii): synonym(coffee shop, cafe) = 1 via rule") {

@@ -111,6 +111,19 @@ class LocalJoinSpec extends AnyFunSuite {
     }
   }
 
+  test("a string over 64 tokens that is no candidate's partner joins without error") {
+    // Token masks are 64-bit, so preparing this string would throw; it
+    // shares no gram with the rest, so verification never prepares it.
+    val long = Vector.fill(65)("ßßß").mkString(" ")
+    val strings = ds.strings.take(40) :+ long
+    for (algo <- SigAlgo.all) {
+      val cfg = LocalJoin.Config(0.75, 2, algo)
+      val (res, _) = LocalJoin.join(k, strings, strings, cfg, selfJoin = true)
+      val want = LocalJoin.join(k, strings.init, strings.init, cfg, selfJoin = true)._1
+      assert(pairSet(res) == pairSet(want), s"$algo")
+    }
+  }
+
   test("identical duplicate strings always join at any θ") {
     val strings = Vector("latte cake espresso", "latte cake espresso", "unrelated tokens here")
     for (algo <- SigAlgo.all; theta <- Seq(0.8, 1.0)) {

@@ -49,6 +49,9 @@ class SparkJoinSpec extends SparkSpec {
   }
 
   test("Spark two-collection join equals local join") {
+    // Both frames number their strings from 0, so the same id names
+    // different strings on the two sides: verification must keep the
+    // sides' prepared strings apart.
     val left = ds.strings.take(70)
     val right = ds.strings.drop(70)
     val cfg = LocalJoin.Config(0.75, 1, SigAlgo.UFilter)
@@ -118,6 +121,17 @@ class SparkJoinSpec extends SparkSpec {
     assert(got == want)
     assert(want.nonEmpty)
     assert(!got.exists { case (i, j) => Set(i, j).exists(_ >= 60) })
+  }
+
+  test("Spark join with a string over 64 tokens that is no candidate's partner equals local") {
+    val strings = ds.strings.take(40) :+ Vector.fill(65)("ßßß").mkString(" ")
+    val cfg = LocalJoin.Config(0.75, 2, SigAlgo.AUDp)
+    val got = collectPairs(SparkJoin.join(spark, toDF(strings), toDF(strings), k, cfg,
+      selfJoin = true))
+    val want = LocalJoin.join(k, strings, strings, cfg, selfJoin = true)._1
+      .map(r => (r._1, r._2)).toSet
+    assert(got == want)
+    assert(want.nonEmpty)
   }
 
   test("signature UDF output matches local signatures") {
